@@ -114,13 +114,13 @@ class ProcessorConfig:
     fault_restart_penalty: int = 16
 
     # --- implementation selection (never changes results) ---
-    #: Simulator core implementation: "columnar" (default — struct-of-
-    #: arrays trace columns and ring-buffer issue booking), "event"
-    #: (columnar data path plus a batched event loop with a wakeup heap
-    #: that jumps the clock over dead cycles), or "legacy" (the original
-    #: object-graph core, kept as the bit-identical reference for the
-    #: equal-stats gate and BENCH_simcore).
-    sim_core: str = "columnar"
+    #: Simulator core implementation: "event" (default — struct-of-
+    #: arrays trace columns, ring-buffer issue booking and a batched
+    #: event loop with a wakeup heap that jumps the clock over dead
+    #: cycles) or "legacy" (the original object-graph core, kept as the
+    #: bit-identical reference for the equal-stats gate and
+    #: BENCH_simcore).
+    sim_core: str = "event"
 
     def __post_init__(self) -> None:
         if self.num_thread_units < 1:
@@ -153,7 +153,7 @@ class ProcessorConfig:
             raise ValueError("livelock_threshold must be >= 1 when set")
         if self.fault_restart_penalty < 0:
             raise ValueError("fault_restart_penalty cannot be negative")
-        if self.sim_core not in ("columnar", "legacy", "event"):
+        if self.sim_core not in ("event", "legacy"):
             raise ValueError(f"unknown sim_core {self.sim_core!r}")
 
     def with_(self, **overrides) -> "ProcessorConfig":

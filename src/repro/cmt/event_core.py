@@ -1,12 +1,13 @@
 """Event-driven batch-advance simulator core (``sim_core="event"``).
 
-The columnar core (:meth:`ClusteredProcessor._advance_columns`) is fast
-per fetch group but still schedules *every* group through the generic
-event loop, including the dead ones: a thread blocked on a cross-thread
-value re-parks at its producer's next fetch cycle over and over, so on
-dependence-heavy workloads most heap events are zero-fetch polls (74% on
-gcc, 73% on li at paper scale).  This module replaces that loop with a
-single batched run function that
+The default core.  The legacy core (:meth:`ClusteredProcessor._advance`)
+schedules *every* fetch group through the generic event loop, including
+the dead ones: a thread blocked on a cross-thread value re-parks at its
+producer's next fetch cycle over and over, so on dependence-heavy
+workloads most heap events are zero-fetch polls (74% on gcc, 73% on li
+at paper scale).  This module replaces that loop with a single batched
+run function over the trace's struct-of-arrays columns
+(:class:`~repro.exec.columns.TraceColumns`) that
 
 1. **hoists every run-invariant local once** (trace columns, config
    scalars, booking rings, heap primitives) instead of once per
@@ -105,8 +106,7 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     """Simulate ``proc``'s full trace with the event-driven batched core.
 
     Behaviourally identical to :meth:`ClusteredProcessor.run` over the
-    columnar core (which is itself the legacy core's bit-identical
-    twin); only wall-clock time and ``proc.event_metrics`` differ.
+    legacy core; only wall-clock time and ``proc.event_metrics`` differ.
 
     Returns:
         The run's finalized :class:`SimulationStats`.
@@ -147,7 +147,7 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     tus = proc._tus
     trace_on = tracer.enabled
 
-    # Run-invariant hoists (per-advance in the columnar core).
+    # Run-invariant hoists (once per run, not once per fetch group).
     pc_col = cols.pc
     flags_col = cols.flags
     fu_col = cols.fu
@@ -885,13 +885,13 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
                             # re-derive their chain root.
                             wake_rooted_sleepers(thread, pop_cycle, start)
                     else:
-                        # Poll park, exactly as the legacy/columnar
-                        # cores: the owner's clock bounds ours from
-                        # below.  A sleeping owner's clock is frozen at
-                        # its block cycle, but in the legacy loop it
-                        # would be polling the next advance of its own
-                        # blocking chain's live root — so walk the chain
-                        # to that root, whose clock is the same value.
+                        # Poll park, exactly as the legacy core: the
+                        # owner's clock bounds ours from below.  A
+                        # sleeping owner's clock is frozen at its block
+                        # cycle, but in the legacy loop it would be
+                        # polling the next advance of its own blocking
+                        # chain's live root — so walk the chain to that
+                        # root, whose clock is the same value.
                         owner = owner_of(blocked_pos)
                         while owner is not None and owner.waiting_on >= 0:
                             owner = owner_of(owner.waiting_on)

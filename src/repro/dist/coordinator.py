@@ -29,7 +29,7 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cache import ArtifactCache
 from repro.dist.backend import Backend, EmitFn, ExecutionPlan
@@ -110,6 +110,8 @@ class Coordinator:
         self.registry = registry or MetricsRegistry()
         self._lock = threading.Lock()
         self._workers: Dict[str, _WorkerState] = {}
+        #: Channels of live connection handlers, hello or not.
+        self._channels: Set[FrameChannel] = set()
         self._lease_started: Dict[str, float] = {}
         self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
@@ -139,7 +141,12 @@ class Coordinator:
         return self.host, self.port
 
     def stop(self) -> None:
-        """Close the listener and every worker socket; join the threads."""
+        """Close the listener and every connection; join the threads.
+
+        Closing a channel wakes its handler's blocked ``recv`` at once,
+        so the joins return promptly; their timeout only bounds a
+        handler stuck elsewhere (say, in a slow cache read).
+        """
         self._stopping.set()
         if self._listener is not None:
             try:
@@ -147,9 +154,9 @@ class Coordinator:
             except OSError:  # pragma: no cover - double close
                 pass
         with self._lock:
-            states = list(self._workers.values())
-        for state in states:
-            state.channel.close()
+            channels = list(self._channels)
+        for channel in channels:
+            channel.close()
         for thread in self._threads:
             thread.join(timeout=2.0)
 
@@ -259,6 +266,8 @@ class Coordinator:
     def _handle(self, conn: socket.socket) -> None:
         """Serve one worker connection until EOF or shutdown."""
         channel = FrameChannel(conn)
+        with self._lock:
+            self._channels.add(channel)
         wid: Optional[str] = None
         try:
             while not self._stopping.is_set():
@@ -288,6 +297,8 @@ class Coordinator:
         except (ConnectionClosed, ProtocolError, OSError):
             pass
         finally:
+            with self._lock:
+                self._channels.discard(channel)
             channel.close()
             if wid is not None:
                 self._bury(wid, "connection lost")

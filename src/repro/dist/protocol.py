@@ -259,7 +259,16 @@ class FrameChannel:
                     return reply, reply_blob
 
     def close(self) -> None:
-        """Close the underlying socket (idempotent, never raises)."""
+        """Shut down and close the socket (idempotent, never raises).
+
+        The shutdown wakes a :meth:`recv` blocked in another thread at
+        once (it sees end-of-stream); closing the descriptor alone would
+        leave that thread blocked until the socket timeout.
+        """
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed or never connected
+            pass
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - double close

@@ -24,6 +24,7 @@ from repro.isa.instructions import FU_INDEX, Opcode, fu_class, latency_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.exec.trace import Trace
+    from repro.isa.program import Program
 
 #: Flag bits of the ``flags`` column.
 F_BRANCH = 1  #: conditional branch (``DynInst.taken is not None``)
@@ -37,6 +38,9 @@ LDST_INDEX = FU_INDEX[fu_class(Opcode.LOAD)]
 
 _UNCOND_OPS = (Opcode.JUMP, Opcode.CALL, Opcode.RET)
 
+#: Flag bits of a taken conditional branch.
+_TAKEN_BITS = F_BRANCH | F_TAKEN
+
 _FIELDS = (
     "pc",
     "flags",
@@ -49,6 +53,34 @@ _FIELDS = (
     "dst_nz",
     "dst_value",
 )
+
+
+def _static_tables(
+    program: "Program",
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """Per-pc ``(base flags, FU ordinal, latency)`` of ``program``.
+
+    Base flags carry the opcode's ``F_UNCOND``/``F_LOAD``/``F_STORE``
+    bits; conditional-branch bits depend on the dynamic outcome and are
+    added per instance.
+    """
+    base: List[int] = []
+    fu: List[int] = []
+    lat: List[int] = []
+    for inst in program.instructions:
+        op = inst.op
+        if op is Opcode.LOAD:
+            bits = F_LOAD
+        elif op is Opcode.STORE:
+            bits = F_STORE
+        elif op in _UNCOND_OPS:
+            bits = F_UNCOND
+        else:
+            bits = 0
+        base.append(bits)
+        fu.append(FU_INDEX[fu_class(op)])
+        lat.append(latency_of(op))
+    return tuple(base), tuple(fu), tuple(lat)
 
 
 class TraceColumns:
@@ -119,35 +151,29 @@ class TraceColumns:
 
     @classmethod
     def build(cls, trace: "Trace") -> "TraceColumns":
-        """Derive the columns from ``trace`` (one linear pass)."""
+        """Derive the columns from ``trace`` (one linear pass).
+
+        Opcode-derived facts (base flags, FU ordinal, latency) are
+        computed once per static pc of ``trace.program`` and gathered
+        per dynamic instruction; only the branch outcome bits vary
+        between instances of one pc.
+        """
         insts = trace.insts
         reg_deps = trace.register_deps
         mem_deps = trace.memory_deps
-        n = len(insts)
-        pc: List[int] = [0] * n
-        flags: List[int] = [0] * n
-        fu: List[int] = [0] * n
-        lat: List[int] = [0] * n
+        base_by_pc, fu_by_pc, lat_by_pc = _static_tables(trace.program)
+        pc = [inst.pc for inst in insts]
+        n = len(pc)
+        flags: List[int] = list(map(base_by_pc.__getitem__, pc))
         addr = array("q", bytes(8 * n)) if n else array("q")
         dep_pairs: List[Tuple[Tuple[int, int], ...]] = [()] * n
         scan_reads: List[Tuple[Tuple[int, int], ...]] = [()] * n
         dst_nz: List[int] = [-1] * n
         dst_value: List = [None] * n
         for pos, inst in enumerate(insts):
-            op = inst.op
-            pc[pos] = inst.pc
-            bits = 0
-            if inst.taken is not None:
-                bits = F_BRANCH | (F_TAKEN if inst.taken else 0)
-            elif op in _UNCOND_OPS:
-                bits = F_UNCOND
-            if op is Opcode.LOAD:
-                bits |= F_LOAD
-            elif op is Opcode.STORE:
-                bits |= F_STORE
-            flags[pos] = bits
-            fu[pos] = FU_INDEX[fu_class(op)]
-            lat[pos] = latency_of(op)
+            taken = inst.taken
+            if taken is not None:
+                flags[pos] |= _TAKEN_BITS if taken else F_BRANCH
             addr[pos] = inst.addr if inst.addr is not None else -1
             deps = reg_deps[pos]
             if deps:
@@ -162,14 +188,15 @@ class TraceColumns:
                     for i, reg in enumerate(srcs)
                     if reg != 0
                 )
-            if inst.dst is not None and inst.dst != 0:
-                dst_nz[pos] = inst.dst
+            dst = inst.dst
+            if dst is not None and dst != 0:
+                dst_nz[pos] = dst
             dst_value[pos] = inst.dst_value
         return cls(
             pc=tuple(pc),
             flags=tuple(flags),
-            fu=tuple(fu),
-            lat=tuple(lat),
+            fu=tuple(map(fu_by_pc.__getitem__, pc)),
+            lat=tuple(map(lat_by_pc.__getitem__, pc)),
             addr=addr,
             mem_dep=array("q", mem_deps),
             dep_pairs=tuple(dep_pairs),

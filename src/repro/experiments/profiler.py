@@ -191,7 +191,7 @@ def profile_run(
     scale: float = 0.3,
     policy: str = "profile",
     value_predictor: str = "stride",
-    sim_core: str = "columnar",
+    sim_core: str = "event",
     top: int = 15,
     with_profile: bool = True,
     config: Optional[ProcessorConfig] = None,
@@ -204,7 +204,7 @@ def profile_run(
         policy: Spawning policy (see
             :func:`repro.experiments.framework.policy_names`).
         value_predictor: Live-in value predictor of the simulated run.
-        sim_core: ``columnar``, ``legacy``, or ``event``.
+        sim_core: ``event`` or ``legacy``.
         top: How many functions to keep in the hotspot list.
         with_profile: Run the simulate phase under :mod:`cProfile`
             (skipping it removes the profiler's overhead, which the

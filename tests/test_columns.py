@@ -16,42 +16,52 @@ from repro.exec.columns import (
 from repro.isa.instructions import FU_CLASSES, Opcode, fu_class, latency_of
 
 
+def _assert_mirrors_dyninst_fields(trace):
+    cols = TraceColumns.build(trace)
+    reg_deps = trace.register_deps
+    mem_deps = trace.memory_deps
+    for pos, inst in enumerate(trace):
+        assert cols.pc[pos] == inst.pc
+        assert FU_CLASSES[cols.fu[pos]] is fu_class(inst.op)
+        assert cols.lat[pos] == latency_of(inst.op)
+        flags = cols.flags[pos]
+        assert bool(flags & F_BRANCH) == (inst.taken is not None)
+        if inst.taken is not None:
+            assert bool(flags & F_TAKEN) == inst.taken
+        assert bool(flags & F_LOAD) == inst.is_load
+        assert bool(flags & F_STORE) == inst.is_store
+        uncond = inst.taken is None and inst.op in (
+            Opcode.JUMP, Opcode.CALL, Opcode.RET,
+        )
+        assert bool(flags & F_UNCOND) == uncond
+        if inst.addr is None:
+            assert cols.addr[pos] == -1
+        else:
+            assert cols.addr[pos] == inst.addr
+        assert cols.mem_dep[pos] == mem_deps[pos]
+        # dep_pairs keeps only resolved producers, paired with the
+        # register each produced.
+        expected = tuple(
+            (producer, inst.srcs[i])
+            for i, producer in enumerate(reg_deps[pos])
+            if producer >= 0
+        )
+        assert cols.dep_pairs[pos] == expected
+
+
 class TestBuild:
     def test_length_matches_trace(self, loop_trace):
         cols = TraceColumns.build(loop_trace)
         assert len(cols) == len(loop_trace)
 
     def test_columns_mirror_dyninst_fields(self, loop_trace):
-        cols = TraceColumns.build(loop_trace)
-        reg_deps = loop_trace.register_deps
-        mem_deps = loop_trace.memory_deps
-        for pos, inst in enumerate(loop_trace):
-            assert cols.pc[pos] == inst.pc
-            assert FU_CLASSES[cols.fu[pos]] is fu_class(inst.op)
-            assert cols.lat[pos] == latency_of(inst.op)
-            flags = cols.flags[pos]
-            assert bool(flags & F_BRANCH) == (inst.taken is not None)
-            if inst.taken is not None:
-                assert bool(flags & F_TAKEN) == inst.taken
-            assert bool(flags & F_LOAD) == inst.is_load
-            assert bool(flags & F_STORE) == inst.is_store
-            uncond = inst.taken is None and inst.op in (
-                Opcode.JUMP, Opcode.CALL, Opcode.RET,
-            )
-            assert bool(flags & F_UNCOND) == uncond
-            if inst.addr is None:
-                assert cols.addr[pos] == -1
-            else:
-                assert cols.addr[pos] == inst.addr
-            assert cols.mem_dep[pos] == mem_deps[pos]
-            # dep_pairs keeps only resolved producers, paired with the
-            # register each produced.
-            expected = tuple(
-                (producer, inst.srcs[i])
-                for i, producer in enumerate(reg_deps[pos])
-                if producer >= 0
-            )
-            assert cols.dep_pairs[pos] == expected
+        _assert_mirrors_dyninst_fields(loop_trace)
+
+    def test_per_pc_tables_mirror_workload_traces(self, small_traces):
+        # Opcode facts come from per-pc tables of the program: check
+        # them on real workload programs too, not only the loop.
+        for trace in small_traces.values():
+            _assert_mirrors_dyninst_fields(trace)
 
     def test_scan_reads_keep_unresolved_producers(self, loop_trace):
         cols = TraceColumns.build(loop_trace)

@@ -157,3 +157,30 @@ def test_channel_close_is_idempotent():
     channel.close()
     channel.close()
     right.close()
+
+
+def test_close_wakes_a_blocked_recv_promptly():
+    left, right = _pair()  # 5 s socket timeouts
+    channel = FrameChannel(left)
+    outcome = []
+
+    def reader():
+        try:
+            outcome.append(channel.recv())
+        except (ConnectionClosed, OSError) as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        # Let the reader block in recv (nothing is ever sent).
+        thread.join(timeout=0.2)
+        assert thread.is_alive()
+        channel.close()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive(), "recv stayed blocked after close()"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], (ConnectionClosed, OSError))
+    finally:
+        thread.join()
+        right.close()

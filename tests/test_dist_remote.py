@@ -7,11 +7,14 @@ task, result, heartbeat, requeue-on-death.
 
 import os
 import signal
+import socket
 import time
 
 import pytest
 
-from repro.dist.coordinator import RemoteBackend
+from repro.cache import ArtifactCache
+from repro.dist.coordinator import Coordinator, RemoteBackend
+from repro.dist.scheduler import WorkStealingScheduler
 from repro.dist.worker import parse_endpoint
 from repro.experiments.engine import ParallelEngine, Point
 
@@ -124,3 +127,25 @@ def test_whole_fleet_death_raises():
         assert "fleet" in str(excinfo.value)
     finally:
         killer.join()
+
+
+def test_stop_is_prompt_with_a_silent_connection(tmp_path):
+    # A peer that connects but never says hello leaves its handler
+    # blocked in recv; stop() must wake it instead of waiting out the
+    # join timeout.
+    coordinator = Coordinator(
+        WorkStealingScheduler([]), ArtifactCache(tmp_path), lambda *a: None
+    )
+    host, port = coordinator.start()
+    peer = socket.create_connection((host, port), timeout=5.0)
+    try:
+        deadline = time.monotonic() + 5.0
+        while not coordinator._channels and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert coordinator._channels, "handler never started"
+        began = time.monotonic()
+        coordinator.stop()
+        assert time.monotonic() - began < 1.0
+        assert not coordinator._channels
+    finally:
+        peer.close()

@@ -51,7 +51,7 @@ def _golden_path(workload: str) -> Path:
     return GOLDEN_DIR / f"stats_{workload}.json"
 
 
-def _compute(workload: str, sim_core: str = "columnar") -> dict:
+def _compute(workload: str, sim_core: str = "event") -> dict:
     trace = load_trace(workload, GOLDEN_SCALE)
     return {
         f"{policy}/{predictor}": _point(trace, policy, predictor, sim_core)
@@ -83,16 +83,18 @@ def test_stats_match_goldens(request, workload):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_event_core_matches_goldens(request, workload):
-    """The event core reproduces the committed fixtures bit for bit."""
+def test_legacy_core_matches_goldens(request, workload):
+    """The legacy reference core reproduces the fixtures bit for bit."""
     path = _golden_path(workload)
     if request.config.getoption("--regen-goldens") or not path.is_file():
-        pytest.skip("fixtures regenerated or absent; columnar test owns them")
+        pytest.skip(
+            "fixtures regenerated or absent; the default-core test owns them"
+        )
     golden = json.loads(path.read_text())
-    current = _compute(workload, sim_core="event")
+    current = _compute(workload, sim_core="legacy")
     assert sorted(current) == sorted(golden)
     for key in sorted(current):
         assert current[key] == golden[key], (
-            f"{workload} {key}: event-core stats diverged from the golden "
+            f"{workload} {key}: legacy-core stats diverged from the golden "
             "fixture"
         )
