@@ -908,7 +908,6 @@ def cmd_serve(args) -> int:
         telemetry_dir=args.telemetry,
         drain_timeout=args.drain_timeout,
         mode=args.mode,
-        backend=args.backend,
         fsync=not args.no_fsync,
     ))
     daemon.install_signal_handlers()
@@ -1037,6 +1036,9 @@ def cmd_profile(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    from repro.dist.backend import backend_names
+
+    backends = backend_names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Thread-spawning schemes for speculative multithreading "
@@ -1224,7 +1226,7 @@ def make_parser() -> argparse.ArgumentParser:
                    "digest, fault seed, wall time) plus a campaign "
                    "rollup into DIR")
     p.add_argument("--backend",
-                   choices=("serial", "process", "async-local", "remote"),
+                   choices=backends,
                    default=None,
                    help="executor backend (default: serial for --jobs 1, "
                    "process otherwise)")
@@ -1260,7 +1262,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print per-point progress to stderr")
     p.add_argument("--backend",
-                   choices=("serial", "process", "async-local", "remote"),
+                   choices=backends,
                    default=None,
                    help="executor backend (default: serial for --jobs 1, "
                    "process otherwise)")
@@ -1335,7 +1337,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-chaos", action="store_true",
                    help="skip the --dist kill -9 chaos leg")
     p.add_argument("--backend",
-                   choices=("process", "async-local", "remote"),
+                   choices=tuple(b for b in backends if b != "serial"),
                    default=None,
                    help="executor backend of the jobs=N phases "
                    "(default process)")
@@ -1376,9 +1378,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("process", "thread"), default=None,
                    help="worker execution mode (default: process where "
                    "fork exists)")
-    p.add_argument("--backend", choices=("process", "thread"), default=None,
-                   help="worker-pool backend knob (supersedes --mode "
-                   "when both are given)")
     p.add_argument("--no-fsync", action="store_true",
                    help="skip per-record journal fsync (faster, "
                    "weakens crash durability)")

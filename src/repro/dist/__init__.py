@@ -1,9 +1,8 @@
 """Distributed execution: pluggable backends for the parallel engine.
 
 The package splits "what to run" (the engine's sweep points) from "how
-to run it" (a :class:`~repro.dist.backend.Backend`): ``serial`` and
-``process`` reproduce the historical engine paths bit-for-bit,
-``async-local`` adds work-stealing dispatch over a local pool, and
+to run it" (a :class:`~repro.dist.backend.Backend`): ``serial`` is the
+engine's own in-process path, ``process`` the one local pool, and
 ``remote`` drives a socket-connected worker fleet with a shared
 artifact cache.  See ``docs/distributed.md`` for the protocol contract
 and the operations runbook.

@@ -10,23 +10,22 @@ once per point, in any order, and may not raise per-point failures —
 those travel inside the outcome dict, exactly as
 :func:`~repro.experiments.framework.run_resilient` reports them.
 
-Built-in backends:
+Backend names (:func:`backend_names`):
 
-- ``serial`` — in-process, submission order; the reference behaviour
-  every other backend is gated against.
-- ``process`` — the historical ``ProcessPoolExecutor`` fan-out,
-  bit-identical to the pre-refactor engine.
-- ``async-local`` — an asyncio dispatcher over a local process pool,
-  scheduling through the work-stealing
-  :class:`~repro.dist.scheduler.WorkStealingScheduler`.
+- ``serial`` — the engine's own in-process path
+  (:func:`~repro.experiments.framework.resilient_sweep`, submission
+  order); the reference every backend is gated against.  It needs no
+  backend object.
+- ``process`` — the one local pool: a ``ProcessPoolExecutor`` fed
+  longest-job-first from telemetry cost priors (submission order when
+  there are none).
 - ``remote`` — a socket-connected worker fleet (see
-  :mod:`repro.dist.coordinator`; registered lazily to keep import cost
+  :mod:`repro.dist.coordinator`; created lazily to keep import cost
   off the serial path).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cache import ArtifactCache
+from repro.dist.scheduler import CostModel
 from repro.experiments import framework
 from repro.experiments.engine import Point, execute_point
 from repro.experiments.framework import run_resilient
@@ -43,9 +43,7 @@ __all__ = [
     "EmitFn",
     "ExecutionPlan",
     "Backend",
-    "SerialBackend",
     "ProcessBackend",
-    "AsyncLocalBackend",
     "backend_names",
     "create_backend",
 ]
@@ -70,10 +68,10 @@ class ExecutionPlan:
         cache_dir: Shared on-disk artifact-cache directory (None
             disables disk caching).
         cache: The caller's live cache instance over ``cache_dir`` (the
-            serial backend reuses it so in-process memo state matches
-            the historical path; other backends open their own handles).
+            remote coordinator serves it to its fleet; pool workers
+            open their own handles).
         telemetry_dir: Telemetry directory of *earlier* sweeps — the
-            source of work-stealing cost priors (see
+            source of longest-job-first cost priors (see
             :meth:`~repro.dist.scheduler.CostModel.from_manifests`).
     """
 
@@ -129,50 +127,8 @@ def _stats_delta(
     return {k: int(after[k]) - int(before[k]) for k in CACHE_COUNTERS}
 
 
-class SerialBackend(Backend):
-    """In-process execution in submission order (the reference backend).
-
-    Installs the plan's cache as the active framework cache (so derived
-    trace/pair/baseline artifacts memoize exactly as the historical
-    serial path did) and runs each point through
-    :func:`~repro.experiments.framework.run_resilient`.
-    """
-
-    name = "serial"
-
-    def execute(
-        self,
-        points: Sequence[Point],
-        plan: ExecutionPlan,
-        emit: EmitFn,
-    ) -> None:
-        """Run every point in order in the calling process via ``emit``."""
-        cache = plan.cache
-        if cache is None and plan.cache_dir:
-            cache = ArtifactCache(plan.cache_dir)
-        previous = framework.set_cache(cache)
-        try:
-            for point in points:
-                before = cache.stats.to_dict() if cache else None
-                outcome = run_resilient(
-                    lambda point=point: execute_point(point, cache),
-                    timeout=plan.timeout,
-                    retries=plan.retries,
-                    backoff=plan.backoff,
-                    jitter_key=point.key,
-                )
-                emit(
-                    point.key,
-                    outcome.to_dict(),
-                    _stats_delta(before, cache),
-                    "serial-0",
-                )
-        finally:
-            framework.set_cache(previous)
-
-
 # ----------------------------------------------------------------------
-# Worker-process plumbing shared by the process/async-local backends.
+# Worker-process plumbing of the process backend.
 # Top-level functions: they cross the process boundary by reference.
 # ----------------------------------------------------------------------
 
@@ -221,10 +177,12 @@ def _worker_run(
 
 
 class ProcessBackend(Backend):
-    """The historical ``ProcessPoolExecutor`` fan-out, bit-identical.
+    """The local ``ProcessPoolExecutor`` fan-out.
 
-    Points are all submitted up front; results are emitted in
-    completion order, exactly as the pre-refactor engine did.
+    Points are all submitted up front, longest first by the telemetry
+    cost priors (a stable sort, so without priors the submission order
+    is the engine's); every worker takes the next point from the pool's
+    one shared queue, and results are emitted in completion order.
     """
 
     name = "process"
@@ -238,118 +196,36 @@ class ProcessBackend(Backend):
         """Fan the points across a local process pool via ``emit``."""
         if not points:
             return
+        cost = CostModel.from_manifests(plan.telemetry_dir)
+        ordered = sorted(points, key=lambda point: -cost.estimate(point.key))
         with ProcessPoolExecutor(
             max_workers=min(max(plan.workers, 1), len(points)),
             initializer=_worker_init,
             initargs=(plan.cache_dir,),
         ) as pool:
-            futures = {
+            futures = [
                 pool.submit(
                     _worker_run, point, plan.timeout, plan.retries,
                     plan.backoff,
-                ): point
-                for point in points
-            }
+                )
+                for point in ordered
+            ]
             for future in as_completed(futures):
                 key, outcome_dict, delta, worker_id = future.result()
                 emit(key, outcome_dict, delta, worker_id)
 
 
-class AsyncLocalBackend(Backend):
-    """Asyncio dispatcher over a local pool with work stealing.
-
-    One coroutine per worker slot pulls tasks from the work-stealing
-    scheduler (seeded longest-job-first from telemetry cost priors) and
-    awaits each execution on a shared process pool — the same dispatch
-    discipline the remote fleet uses, without sockets.  After a run,
-    :meth:`fleet_summary` exposes the scheduler counters.
-    """
-
-    name = "async-local"
-
-    def __init__(self) -> None:
-        self._fleet: Dict[str, Any] = {}
-
-    def fleet_summary(self) -> Dict[str, Any]:
-        """Return the last run's scheduler counters (steals, dispatch)."""
-        return dict(self._fleet)
-
-    def execute(
-        self,
-        points: Sequence[Point],
-        plan: ExecutionPlan,
-        emit: EmitFn,
-    ) -> None:
-        """Drive the points through asyncio worker slots via ``emit``."""
-        if not points:
-            return
-        from repro.dist.scheduler import CostModel, WorkStealingScheduler
-
-        slots = min(max(plan.workers, 1), len(points))
-        worker_ids = [f"async-{index}" for index in range(slots)]
-        scheduler = WorkStealingScheduler(
-            points,
-            workers=worker_ids,
-            cost=CostModel.from_manifests(plan.telemetry_dir),
-        )
-        asyncio.run(self._drive(scheduler, worker_ids, plan, emit))
-        self._fleet = scheduler.snapshot()
-
-    async def _drive(
-        self,
-        scheduler: Any,
-        worker_ids: Sequence[str],
-        plan: ExecutionPlan,
-        emit: EmitFn,
-    ) -> None:
-        """Async body: one pulling coroutine per worker slot."""
-        loop = asyncio.get_running_loop()
-        with ProcessPoolExecutor(
-            max_workers=len(worker_ids),
-            initializer=_worker_init,
-            initargs=(plan.cache_dir,),
-        ) as pool:
-
-            async def slot(worker_id: str) -> None:
-                while True:
-                    task = scheduler.next_task(worker_id)
-                    if task is None:
-                        if scheduler.done():
-                            return
-                        await asyncio.sleep(0.005)
-                        continue
-                    key, outcome_dict, delta, _pid = (
-                        await loop.run_in_executor(
-                            pool, _worker_run, task, plan.timeout,
-                            plan.retries, plan.backoff,
-                        )
-                    )
-                    if scheduler.complete(worker_id, key):
-                        emit(key, outcome_dict, delta, worker_id)
-
-            await asyncio.gather(*(slot(w) for w in worker_ids))
-
-
-#: Backend registry: name -> zero-argument factory.  ``remote`` is
-#: resolved lazily inside :func:`create_backend` so importing this
-#: module never pays the socket machinery's import cost.
-_FACTORIES: Dict[str, Callable[[], Backend]] = {
-    "serial": SerialBackend,
-    "process": ProcessBackend,
-    "async-local": AsyncLocalBackend,
-}
-
-
 def backend_names() -> Tuple[str, ...]:
-    """Return every registered backend name (including ``remote``)."""
-    return tuple(_FACTORIES) + ("remote",)
+    """Return every ``--backend`` name (``serial`` has no backend object)."""
+    return ("serial", "process", "remote")
 
 
 def create_backend(name: str, **options: Any) -> Backend:
-    """Instantiate a backend by registry name.
+    """Instantiate a backend by name.
 
     Args:
-        name: One of :func:`backend_names`.
+        name: ``process`` or ``remote`` (``serial`` is the engine's own
+            in-process path, not a backend object).
         **options: Backend-specific constructor options (only
             ``remote`` takes any — e.g. ``workers``, ``heartbeat``).
 
@@ -357,19 +233,17 @@ def create_backend(name: str, **options: Any) -> Backend:
         The backend instance.
 
     Raises:
-        KeyError: For an unknown backend name.
+        KeyError: For an unknown backend name (or ``serial``).
     """
     if name == "remote":
         from repro.dist.coordinator import RemoteBackend
 
         return RemoteBackend(**options)
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
+    if name != "process":
         raise KeyError(
-            f"unknown backend {name!r}; choose from "
-            f"{', '.join(backend_names())}"
-        ) from None
+            f"no backend object named {name!r}; choose process or remote "
+            "(serial runs in the engine's own process)"
+        )
     if options:
         raise TypeError(f"backend {name!r} takes no options")
-    return factory()
+    return ProcessBackend()

@@ -31,7 +31,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cache import ArtifactCache, generator_version
 from repro.experiments import framework
@@ -299,10 +299,13 @@ def _sweep_phase(
 
     The grid is every workload under both spawning policies and every
     predictor in :data:`SIMCORE_PREDICTORS`, plus one single-threaded
-    baseline per workload.  Each core's sweep runs ``repeats`` times
-    and reports the fastest pass (the standard defence against one-off
-    scheduler/allocator noise on shared machines); every pass must
-    produce the same series.
+    baseline per workload.  The sweep runs ``repeats`` rounds; each
+    round runs every core once, in turn (legacy, event, legacy, event,
+    ...), so a slow stretch of a shared machine slows both cores rather
+    than one.  Each core reports its fastest pass (the standard defence
+    against one-off scheduler/allocator noise), each round's ratio is
+    recorded beside the best-of-N speed-up, and every pass must produce
+    the same series.
     """
     from repro.cmt import simulate
     from repro.spawning import SpawnPairSet
@@ -316,72 +319,82 @@ def _sweep_phase(
         for policy in SIMCORE_POLICIES
     }
     base = framework.EXPERIMENT_CONFIG
-    cores: Dict[str, Dict[str, Any]] = {}
-    for core in SIMCORE_CORES:
+
+    def sweep(core: str) -> Tuple[float, int, Dict[str, Dict[str, Any]]]:
+        """One pass of the grid: (seconds, instructions, series)."""
         config = base.with_(sim_core=core)
         single = config.single_threaded()
-        runs: List[float] = []
         instructions = 0
         series: Dict[str, Dict[str, Any]] = {}
-        for _ in range(max(repeats, 1)):
-            instructions = 0
-            series = {}
-            start = time.perf_counter()
-            for name in names:
-                baseline = simulate(traces[name], SpawnPairSet([]), single)
-                instructions += baseline.instructions
-                row: Dict[str, Any] = {"baseline": baseline.cycles}
-                for policy in SIMCORE_POLICIES:
-                    cells = {}
-                    for predictor in SIMCORE_PREDICTORS:
-                        stats = simulate(
-                            traces[name],
-                            pair_sets[(name, policy)],
-                            config.with_(value_predictor=predictor),
-                        )
-                        instructions += stats.instructions
-                        cells[predictor] = stats.cycles
-                    row[policy] = cells
-                series[name] = row
-            runs.append(time.perf_counter() - start)
-        seconds = min(runs)
-        cores[core] = {
+        start = time.perf_counter()
+        for name in names:
+            baseline = simulate(traces[name], SpawnPairSet([]), single)
+            instructions += baseline.instructions
+            row: Dict[str, Any] = {"baseline": baseline.cycles}
+            for policy in SIMCORE_POLICIES:
+                cells = {}
+                for predictor in SIMCORE_PREDICTORS:
+                    stats = simulate(
+                        traces[name],
+                        pair_sets[(name, policy)],
+                        config.with_(value_predictor=predictor),
+                    )
+                    instructions += stats.instructions
+                    cells[predictor] = stats.cycles
+                row[policy] = cells
+            series[name] = row
+        return time.perf_counter() - start, instructions, series
+
+    runs: Dict[str, List[float]] = {core: [] for core in SIMCORE_CORES}
+    cores: Dict[str, Dict[str, Any]] = {}
+    passes: List[Dict[str, Dict[str, Any]]] = []
+    for _ in range(max(repeats, 1)):
+        for core in SIMCORE_CORES:
+            seconds, instructions, series = sweep(core)
+            runs[core].append(seconds)
+            passes.append(series)
+            cores[core] = {"instructions": instructions}
+    for core in SIMCORE_CORES:
+        seconds = min(runs[core])
+        instructions = cores[core]["instructions"]
+        cores[core].update({
             "sim_core": core,
             "seconds": round(seconds, 4),
-            "runs": [round(s, 4) for s in runs],
-            "instructions": instructions,
+            "runs": [round(s, 4) for s in runs[core]],
             "insts_per_sec": round(instructions / seconds) if seconds else 0,
-            "series": series,
-        }
+        })
         if progress is not None:
             progress(
-                f"sweep [{core}]: {seconds:.2f}s best of {len(runs)} "
+                f"sweep [{core}]: {seconds:.2f}s best of {len(runs[core])} "
                 f"({cores[core]['insts_per_sec']:,} insts/sec)"
             )
+
+    def ratio(legacy: float, other: float) -> float:
+        return round(legacy / other, 3) if other else float("inf")
+
     legacy_seconds = cores["legacy"]["seconds"]
+    fast_cores = [core for core in SIMCORE_CORES if core != "legacy"]
     speedups = {
-        core: (
-            round(legacy_seconds / cores[core]["seconds"], 3)
-            if cores[core]["seconds"]
-            else float("inf")
-        )
-        for core in SIMCORE_CORES
-        if core != "legacy"
+        core: ratio(legacy_seconds, cores[core]["seconds"])
+        for core in fast_cores
     }
-    legacy_series = cores["legacy"]["series"]
-    equal_series = all(
-        cores[core]["series"] == legacy_series for core in SIMCORE_CORES
-    )
-    record: Dict[str, Any] = {
-        core: {k: v for k, v in cores[core].items() if k != "series"}
-        for core in SIMCORE_CORES
+    round_speedups = {
+        core: [
+            ratio(legacy, other)
+            for legacy, other in zip(runs["legacy"], runs[core])
+        ]
+        for core in fast_cores
     }
+    equal_series = all(series == passes[0] for series in passes)
+    record: Dict[str, Any] = dict(cores)
     record["speedups"] = speedups
     record["speedup"] = speedups["event"]
+    record["round_speedups"] = round_speedups
     record["equal_series"] = equal_series
     if progress is not None:
         progress(
-            f"sweep speedup: event {speedups['event']}x "
+            f"sweep speedup: event {speedups['event']}x best of "
+            f"{len(runs['event'])}, rounds {round_speedups['event']} "
             f"(series equal: {equal_series})"
         )
     return record

@@ -6,7 +6,7 @@ such a sweep into a list of pickle-safe :class:`Point` specs, runs each
 point through the hardened :func:`~repro.experiments.framework.run_resilient`
 wrapper — serially for ``jobs=1`` (bit-identical to the historical
 path), or through a pluggable executor :class:`~repro.dist.backend.Backend`
-(``process``, ``async-local``, ``remote``) otherwise — and reassembles
+(``process``, ``remote``) otherwise — and reassembles
 results in deterministic input order regardless of completion order.
 
 Workers share the on-disk :class:`~repro.cache.ArtifactCache` when one
@@ -185,9 +185,11 @@ class ParallelEngine:
             digest, seed, per-point cache delta, attempts, wall time,
             executing worker) plus a sweep-level rollup into this
             directory; an existing directory also seeds the
-            work-stealing scheduler's cost priors.
-        backend: Executor backend — a registry name (``serial``,
-            ``process``, ``async-local``, ``remote``) or a ready
+            longest-job-first cost priors of the ``process`` and
+            ``remote`` backends.
+        backend: Executor backend — a name from
+            :func:`~repro.dist.backend.backend_names` (``serial``,
+            ``process``, ``remote``) or a ready
             :class:`~repro.dist.backend.Backend` instance.  ``None``
             selects ``serial`` for ``jobs=1`` and ``process``
             otherwise, matching the historical behaviour exactly.
@@ -230,7 +232,7 @@ class ParallelEngine:
             "misses": 0,
             "puts": 0,
         }
-        #: fleet summary of the last run (work-stealing/cache counters).
+        #: fleet summary of the last run (remote scheduler/cache counters).
         self.fleet: Dict[str, Any] = {}
         #: point key -> cache-counter delta of that point's execution
         #: (only points actually run this sweep; resumed points absent).

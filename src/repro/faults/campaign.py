@@ -294,7 +294,8 @@ def run_campaign(
             plus a campaign rollup into this directory — identically
             for the serial and the parallel path.
         backend: Executor backend name forwarded to the engine
-            (``serial``/``process``/``async-local``/``remote``); None
+            (one of :func:`~repro.dist.backend.backend_names`:
+            ``serial``/``process``/``remote``); None
             keeps the historical jobs-based selection.
         workers: Backend parallelism (default: ``jobs``).
 

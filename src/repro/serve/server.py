@@ -70,9 +70,6 @@ class ServeConfig:
         telemetry_dir: Per-job provenance manifest directory.
         drain_timeout: Seconds a graceful drain waits for running jobs.
         mode: Worker execution mode (``process``/``thread``/None=auto).
-        backend: Worker-pool backend knob; same values as ``mode`` and
-            supersedes it when both are set (the name matches the
-            engine's ``--backend`` vocabulary).
         fsync: Whether journal appends fsync (the durability behind
             exactly-once; tests may disable for speed).
     """
@@ -91,7 +88,6 @@ class ServeConfig:
     telemetry_dir: Optional[str] = None
     drain_timeout: float = 30.0
     mode: Optional[str] = None
-    backend: Optional[str] = None
     fsync: bool = True
 
 
@@ -137,7 +133,7 @@ class ServeDaemon:
             retries=config.retries,
             backoff=config.backoff,
             jitter=config.jitter,
-            mode=config.backend or config.mode,
+            mode=config.mode,
             telemetry_dir=config.telemetry_dir,
         )
         self.started_at = time.time()

@@ -252,3 +252,25 @@ class TestOverriddenAdvance:
         assert len(groups) >= stats["instructions"] // 4
         assert proc._cols is None
         assert proc.event_metrics is None
+
+
+def test_bench_sweep_alternates_cores_each_round(monkeypatch):
+    """The speed-up sweep runs legacy and event in turn within every
+    round, so machine noise lands on both, and records each round's
+    ratio beside the best-of-N speed-up."""
+    import repro.cmt
+    from repro.experiments.bench import _sweep_phase
+
+    order = []
+
+    def recording_simulate(trace, pairs, config, *args, **kwargs):
+        if not order or order[-1] != config.sim_core:
+            order.append(config.sim_core)
+        return simulate(trace, pairs, config, *args, **kwargs)
+
+    monkeypatch.setattr(repro.cmt, "simulate", recording_simulate)
+    record = _sweep_phase(0.05, ["compress"], None, repeats=3)
+    assert order == ["legacy", "event"] * 3
+    assert len(record["legacy"]["runs"]) == len(record["event"]["runs"]) == 3
+    assert len(record["round_speedups"]["event"]) == 3
+    assert record["equal_series"] is True
